@@ -9,17 +9,21 @@
 //! summation order shows up as a diff against the golden score vector
 //! committed in `tests/golden_scores_threads1.txt`.
 //!
-//! To regenerate the golden file after an intentional numeric change:
+//! `tests/golden_step_paths_threads1.txt` does the same for the step
+//! paths that file never reaches (see [`step_path_cases`]).
+//!
+//! To regenerate the golden files after an intentional numeric change:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test --test determinism
 //! ```
 
-use pbg::core::config::PbgConfig;
+use pbg::core::config::{PbgConfig, PbgConfigBuilder};
 use pbg::core::trainer::Trainer;
 use pbg::datagen::social::SocialGraphConfig;
 use pbg::graph::edges::EdgeList;
-use pbg::graph::schema::GraphSchema;
+use pbg::graph::schema::{EntityTypeDef, GraphSchema, OperatorKind, RelationTypeDef};
+use pbg::graph::RelationTypeId;
 use pbg::tensor::kernels::{dispatch, Variant};
 
 /// The golden vectors were recorded under the scalar kernel path; the
@@ -148,6 +152,156 @@ fn threads1_scores_match_committed_golden() {
              a kernel or trainer change altered threads=1 numerics; if \
              intentional, regenerate with UPDATE_GOLDEN=1",
             got.to_bits()
+        );
+    }
+}
+
+/// Step paths the two score goldens never reach: every non-identity
+/// operator, reciprocal relations, cosine similarity, the logistic and
+/// softmax losses, unbatched negatives, and destination-only corruption.
+/// Each case trains a small model for one threads=1 epoch and records a
+/// few edge scores (through the model's own operator and similarity)
+/// plus an FNV-1a hash over every embedding and relation-parameter bit.
+const STEP_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden_step_paths_threads1.txt"
+);
+
+fn step_path_cases() -> Vec<(&'static str, OperatorKind, PbgConfigBuilder)> {
+    use pbg::core::config::{LossKind, NegativeMode, SimilarityKind};
+    let base = || {
+        PbgConfig::builder()
+            .dim(8)
+            .epochs(1)
+            .batch_size(100)
+            .chunk_size(10)
+            .uniform_negatives(10)
+            .threads(1)
+            .seed(4321)
+    };
+    vec![
+        ("translation", OperatorKind::Translation, base()),
+        ("diagonal", OperatorKind::Diagonal, base()),
+        ("complex_diagonal", OperatorKind::ComplexDiagonal, base()),
+        ("linear", OperatorKind::Linear, base()),
+        (
+            "reciprocal_diagonal",
+            OperatorKind::Diagonal,
+            base().reciprocal_relations(true),
+        ),
+        (
+            "reciprocal_linear",
+            OperatorKind::Linear,
+            base().reciprocal_relations(true),
+        ),
+        (
+            "cosine",
+            OperatorKind::Identity,
+            base().similarity(SimilarityKind::Cosine),
+        ),
+        (
+            "cosine_reciprocal_translation",
+            OperatorKind::Translation,
+            base()
+                .similarity(SimilarityKind::Cosine)
+                .reciprocal_relations(true),
+        ),
+        (
+            "logistic",
+            OperatorKind::Identity,
+            base().loss(LossKind::Logistic),
+        ),
+        (
+            "softmax",
+            OperatorKind::Translation,
+            base().loss(LossKind::Softmax),
+        ),
+        (
+            "unbatched",
+            OperatorKind::Identity,
+            base().negative_mode(NegativeMode::Unbatched),
+        ),
+        (
+            "dst_corruption_only",
+            OperatorKind::Diagonal,
+            base().corrupt_sources(false),
+        ),
+    ]
+}
+
+fn fnv1a(hash: &mut u64, values: &[f32]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn render_step_paths() -> String {
+    const NODES: u32 = 120;
+    let graph = SocialGraphConfig {
+        num_nodes: NODES,
+        num_edges: 800,
+        num_communities: 6,
+        intra_prob: 0.8,
+        zipf_exponent: 1.0,
+        seed: 31,
+    };
+    let (edges, _) = graph.generate();
+    let mut out = String::new();
+    for (name, op, builder) in step_path_cases() {
+        let schema = GraphSchema::builder()
+            .entity_type(EntityTypeDef::new("node", NODES))
+            .relation_type(RelationTypeDef::new("edge", 0u32, 0u32).with_operator(op))
+            .build()
+            .unwrap();
+        let mut trainer = Trainer::new(schema, &edges, builder.build().unwrap()).unwrap();
+        trainer.train();
+        let model = trainer.snapshot();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for m in &model.embeddings {
+            fnv1a(&mut hash, m.as_slice());
+        }
+        for r in &model.relations {
+            fnv1a(&mut hash, &r.forward);
+            if let Some(recip) = &r.reciprocal {
+                fnv1a(&mut hash, recip);
+            }
+        }
+        out.push_str(&format!("{name} hash {hash:016x}\n"));
+        for i in 0..4 {
+            let s = model.score(
+                edges.sources()[i],
+                RelationTypeId(0),
+                edges.destinations()[i],
+            );
+            out.push_str(&format!("{name} score{i} {:08x} # {s:e}\n", s.to_bits()));
+        }
+    }
+    out
+}
+
+#[test]
+fn threads1_step_paths_match_committed_golden() {
+    pin_scalar_kernels();
+    let rendered = render_step_paths();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(STEP_GOLDEN_PATH, &rendered).unwrap();
+        eprintln!("golden file updated: {STEP_GOLDEN_PATH}");
+        return;
+    }
+    let golden = std::fs::read_to_string(STEP_GOLDEN_PATH).unwrap_or_else(|e| {
+        panic!("cannot read {STEP_GOLDEN_PATH}: {e}; run with UPDATE_GOLDEN=1 to create it")
+    });
+    let want: Vec<&str> = golden.lines().filter(|l| !l.trim().is_empty()).collect();
+    let got: Vec<&str> = rendered.lines().collect();
+    assert_eq!(got.len(), want.len(), "step-path golden line count");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(
+            g, w,
+            "a step path's threads=1 numerics changed; if intentional, \
+             regenerate with UPDATE_GOLDEN=1"
         );
     }
 }
