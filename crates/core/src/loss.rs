@@ -14,7 +14,7 @@ use crate::config::LossKind;
 use pbg_tensor::matrix::Matrix;
 
 /// Loss value and gradients w.r.t. the scores.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LossGrads {
     /// Total loss over the chunk.
     pub loss: f64,
@@ -57,13 +57,35 @@ pub fn compute(
     neg_scores: &Matrix,
     weights: &[f32],
 ) -> LossGrads {
+    let mut out = LossGrads::default();
+    compute_into(loss, margin, pos_scores, neg_scores, weights, &mut out);
+    out
+}
+
+/// [`compute`] into `out`, whose buffers are resized, zeroed and refilled.
+///
+/// # Panics
+///
+/// Panics if `pos_scores`, `weights`, and `neg_scores` rows disagree.
+pub fn compute_into(
+    loss: LossKind,
+    margin: f32,
+    pos_scores: &[f32],
+    neg_scores: &Matrix,
+    weights: &[f32],
+    out: &mut LossGrads,
+) {
     let c = pos_scores.len();
     assert_eq!(neg_scores.rows(), c, "loss: neg rows mismatch");
     assert_eq!(weights.len(), c, "loss: weights mismatch");
     let n = neg_scores.cols();
     let mut total = 0.0f64;
-    let mut grad_pos = vec![0.0f32; c];
-    let mut grad_neg = Matrix::zeros(c, n);
+    let LossGrads {
+        grad_pos, grad_neg, ..
+    } = out;
+    grad_pos.clear();
+    grad_pos.resize(c, 0.0);
+    grad_neg.resize(c, n);
     match loss {
         LossKind::MarginRanking => {
             for i in 0..c {
@@ -119,11 +141,7 @@ pub fn compute(
             }
         }
     }
-    LossGrads {
-        loss: total,
-        grad_pos,
-        grad_neg,
-    }
+    out.loss = total;
 }
 
 #[cfg(test)]

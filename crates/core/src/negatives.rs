@@ -115,8 +115,34 @@ pub fn gather(array: &pbg_tensor::hogwild::HogwildArray, offsets: &[u32]) -> Mat
 ///
 /// Panics if any offset is out of bounds.
 pub fn gather_into(array: &pbg_tensor::hogwild::HogwildArray, offsets: &[u32], out: &mut Matrix) {
-    out.resize(offsets.len(), array.cols());
-    for (i, &off) in offsets.iter().enumerate() {
+    gather_candidates_into(array, offsets, &Matrix::default(), out);
+}
+
+/// [`gather_into`] for a candidate list whose first `known.rows()`
+/// offsets are rows the caller already gathered into `known` — the
+/// chunk's own nodes that open every batched candidate list (§4.3). Those
+/// rows are copied from `known`; only the rest are read from the table.
+///
+/// # Panics
+///
+/// Panics if `known` has more rows than `offsets`, a different width than
+/// `array`, or any remaining offset is out of bounds.
+pub fn gather_candidates_into(
+    array: &pbg_tensor::hogwild::HogwildArray,
+    offsets: &[u32],
+    known: &Matrix,
+    out: &mut Matrix,
+) {
+    let (c, d) = (known.rows(), array.cols());
+    assert!(c <= offsets.len(), "gather: more known rows than offsets");
+    assert!(
+        c == 0 || known.cols() == d,
+        "gather: known rows width mismatch"
+    );
+    // every row is overwritten below
+    out.reshape(offsets.len(), d);
+    out.as_mut_slice()[..c * d].copy_from_slice(known.as_slice());
+    for (i, &off) in offsets.iter().enumerate().skip(c) {
         array.read_row_into(off as usize, out.row_mut(i));
     }
 }

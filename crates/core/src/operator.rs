@@ -9,6 +9,7 @@
 
 use pbg_graph::schema::OperatorKind;
 use pbg_tensor::complex::{complex_hadamard, complex_hadamard_conj};
+use pbg_tensor::kernels::{self, PackedNt};
 use pbg_tensor::matrix::Matrix;
 
 /// Initial parameter values for `op` at dimension `dim`: every operator
@@ -40,12 +41,45 @@ pub fn init_params(op: OperatorKind, dim: usize) -> Vec<f32> {
     }
 }
 
+/// Buffers the linear operator reuses across calls: the packed parameter
+/// matrix of the forward product and the transposed output gradient of
+/// the backward one. The other operators need none.
+#[derive(Debug, Clone, Default)]
+pub struct OperatorScratch {
+    packed: PackedNt,
+    grad_t: Matrix,
+}
+
 /// Applies `g(·, params)` to every row of `input` (`C × d`).
 ///
 /// # Panics
 ///
 /// Panics if `params.len() != op.param_count(input.cols())`.
 pub fn apply(op: OperatorKind, params: &[f32], input: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    let result = apply_into(op, params, input, &mut out, &mut OperatorScratch::default());
+    // the identity operator hands back its input: copy it out
+    if std::ptr::eq(result, input) {
+        input.clone()
+    } else {
+        out
+    }
+}
+
+/// [`apply`] without allocating: writes `g(input)` into `out` (reshaped
+/// in place) and returns it. The identity operator instead returns
+/// `input` itself and leaves `out` untouched.
+///
+/// # Panics
+///
+/// Panics if `params.len() != op.param_count(input.cols())`.
+pub fn apply_into<'a>(
+    op: OperatorKind,
+    params: &[f32],
+    input: &'a Matrix,
+    out: &'a mut Matrix,
+    scratch: &mut OperatorScratch,
+) -> &'a Matrix {
     let d = input.cols();
     assert_eq!(
         params.len(),
@@ -54,35 +88,46 @@ pub fn apply(op: OperatorKind, params: &[f32], input: &Matrix) -> Matrix {
         op.param_count(d),
         params.len()
     );
+    let rows = input.rows();
     match op {
-        OperatorKind::Identity => input.clone(),
+        OperatorKind::Identity => return input,
         OperatorKind::Translation => {
-            let mut out = input.clone();
-            for i in 0..out.rows() {
+            out.reshape(rows, d);
+            out.as_mut_slice().copy_from_slice(input.as_slice());
+            for i in 0..rows {
                 pbg_tensor::vecmath::axpy(1.0, params, out.row_mut(i));
             }
-            out
         }
         OperatorKind::Diagonal => {
-            let mut out = Matrix::zeros(input.rows(), d);
-            for i in 0..input.rows() {
+            out.reshape(rows, d);
+            for i in 0..rows {
                 pbg_tensor::vecmath::hadamard(input.row(i), params, out.row_mut(i));
             }
-            out
         }
         OperatorKind::ComplexDiagonal => {
-            let mut out = Matrix::zeros(input.rows(), d);
-            for i in 0..input.rows() {
+            out.reshape(rows, d);
+            for i in 0..rows {
                 complex_hadamard(input.row(i), params, out.row_mut(i));
             }
-            out
         }
         OperatorKind::Linear => {
-            // params is A (d×d, row-major); row-vector form: out = x · Aᵀ
-            let a = Matrix::from_vec(d, d, params.to_vec());
-            input.matmul_nt(&a)
+            // params is A (d×d, row-major); row-vector form: out = x · Aᵀ,
+            // split over threads exactly as `Matrix::matmul_nt` splits it
+            out.reshape(rows, d);
+            scratch.packed.repack(d, d, params, d.max(1));
+            kernels::matmul_nt_packed_threaded(
+                rows,
+                d,
+                input.as_slice(),
+                d.max(1),
+                &scratch.packed,
+                out.as_mut_slice(),
+                d.max(1),
+                kernels::auto_threads(rows, d, d),
+            );
         }
     }
+    out
 }
 
 /// Backpropagates through the operator: given `input` (`C × d`) and the
@@ -98,50 +143,117 @@ pub fn backward(
     input: &Matrix,
     grad_out: &Matrix,
 ) -> (Matrix, Vec<f32>) {
+    let (mut grad_in, mut grad_params) = (Matrix::default(), Vec::new());
+    let borrowed = backward_into(
+        op,
+        params,
+        input,
+        grad_out,
+        &mut grad_in,
+        &mut grad_params,
+        &mut OperatorScratch::default(),
+    );
+    // identity and translation hand back `grad_out`: copy it out
+    if std::ptr::eq(borrowed, grad_out) {
+        grad_in = grad_out.clone();
+    }
+    (grad_in, grad_params)
+}
+
+/// [`backward`] without allocating: the parameter gradient is written to
+/// `grad_params` (resized and overwritten) and the input gradient to
+/// `grad_in`, which is returned. For the identity and translation
+/// operators the input gradient *is* `grad_out`, so that is returned
+/// instead and `grad_in` is left untouched.
+///
+/// # Panics
+///
+/// Panics if shapes are inconsistent with `op`.
+pub fn backward_into<'a>(
+    op: OperatorKind,
+    params: &[f32],
+    input: &Matrix,
+    grad_out: &'a Matrix,
+    grad_in: &'a mut Matrix,
+    grad_params: &mut Vec<f32>,
+    scratch: &mut OperatorScratch,
+) -> &'a Matrix {
     let d = input.cols();
-    assert_eq!(grad_out.rows(), input.rows(), "backward: row mismatch");
+    let rows = input.rows();
+    assert_eq!(grad_out.rows(), rows, "backward: row mismatch");
     assert_eq!(grad_out.cols(), d, "backward: col mismatch");
     assert_eq!(params.len(), op.param_count(d), "backward: param mismatch");
+    grad_params.clear();
+    grad_params.resize(params.len(), 0.0);
     match op {
-        OperatorKind::Identity => (grad_out.clone(), Vec::new()),
+        OperatorKind::Identity => grad_out,
         OperatorKind::Translation => {
             // out = x + θ: grad_x = grad_out, grad_θ = Σ_rows grad_out
-            let mut grad_params = vec![0.0; d];
-            for i in 0..grad_out.rows() {
-                pbg_tensor::vecmath::axpy(1.0, grad_out.row(i), &mut grad_params);
+            for i in 0..rows {
+                pbg_tensor::vecmath::axpy(1.0, grad_out.row(i), grad_params);
             }
-            (grad_out.clone(), grad_params)
+            grad_out
         }
         OperatorKind::Diagonal => {
-            // out = x ⊙ θ: grad_x = g ⊙ θ, grad_θ = Σ g ⊙ x
-            let mut grad_in = Matrix::zeros(input.rows(), d);
-            let mut grad_params = vec![0.0; d];
-            let mut tmp = vec![0.0; d];
-            for i in 0..input.rows() {
-                pbg_tensor::vecmath::hadamard(grad_out.row(i), params, grad_in.row_mut(i));
-                pbg_tensor::vecmath::hadamard(grad_out.row(i), input.row(i), &mut tmp);
-                pbg_tensor::vecmath::axpy(1.0, &tmp, &mut grad_params);
+            // out = x ⊙ θ: grad_x = g ⊙ θ, grad_θ = Σ g ⊙ x. Row i of
+            // `grad_in` holds g ⊙ x until it is summed, then g ⊙ θ.
+            grad_in.reshape(rows, d);
+            for i in 0..rows {
+                let row = grad_in.row_mut(i);
+                pbg_tensor::vecmath::hadamard(grad_out.row(i), input.row(i), row);
+                pbg_tensor::vecmath::axpy(1.0, row, grad_params);
+                pbg_tensor::vecmath::hadamard(grad_out.row(i), params, row);
             }
-            (grad_in, grad_params)
+            grad_in
         }
         OperatorKind::ComplexDiagonal => {
             // out = x ⊙c θ: grad_x = g ⊙c conj(θ), grad_θ = Σ g ⊙c conj(x)
-            let mut grad_in = Matrix::zeros(input.rows(), d);
-            let mut grad_params = vec![0.0; d];
-            let mut tmp = vec![0.0; d];
-            for i in 0..input.rows() {
-                complex_hadamard_conj(grad_out.row(i), params, grad_in.row_mut(i));
-                complex_hadamard_conj(grad_out.row(i), input.row(i), &mut tmp);
-                pbg_tensor::vecmath::axpy(1.0, &tmp, &mut grad_params);
+            grad_in.reshape(rows, d);
+            for i in 0..rows {
+                let row = grad_in.row_mut(i);
+                complex_hadamard_conj(grad_out.row(i), input.row(i), row);
+                pbg_tensor::vecmath::axpy(1.0, row, grad_params);
+                complex_hadamard_conj(grad_out.row(i), params, row);
             }
-            (grad_in, grad_params)
+            grad_in
         }
         OperatorKind::Linear => {
-            // out = x · Aᵀ: grad_x = g · A, grad_A = gᵀ · x
-            let a = Matrix::from_vec(d, d, params.to_vec());
-            let grad_in = grad_out.matmul(&a);
-            let grad_a = grad_out.transpose().matmul(input);
-            (grad_in, grad_a.into_vec())
+            // out = x · Aᵀ: grad_x = g · A, grad_A = gᵀ · x, with the same
+            // kernels and strides `Matrix::matmul`/`transpose` use
+            grad_in.reshape(rows, d);
+            kernels::matmul(
+                rows,
+                d,
+                d,
+                grad_out.as_slice(),
+                d.max(1),
+                params,
+                d.max(1),
+                grad_in.as_mut_slice(),
+                d.max(1),
+            );
+            let grad_t = &mut scratch.grad_t;
+            grad_t.reshape(d, rows);
+            kernels::transpose(
+                rows,
+                d,
+                grad_out.as_slice(),
+                d.max(1),
+                grad_t.as_mut_slice(),
+                rows.max(1),
+            );
+            kernels::matmul(
+                d,
+                d,
+                rows,
+                grad_t.as_slice(),
+                rows.max(1),
+                input.as_slice(),
+                d.max(1),
+                grad_params,
+                d.max(1),
+            );
+            grad_in
         }
     }
 }

@@ -10,9 +10,10 @@
 //! products share one packing and one pass over the loss gradient.
 
 use crate::config::SimilarityKind;
-use pbg_tensor::kernels::ScoreGrad;
+use pbg_tensor::kernels::{PackedNt, ScoreGrad};
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::vecmath;
+use std::borrow::Cow;
 
 /// Row-wise scores `score(a_i, b_i)` for aligned rows.
 ///
@@ -20,14 +21,24 @@ use pbg_tensor::vecmath;
 ///
 /// Panics if shapes differ.
 pub fn score_pairs(sim: SimilarityKind, a: &Matrix, b: &Matrix) -> Vec<f32> {
+    let mut out = Vec::new();
+    score_pairs_into(sim, a, b, &mut out);
+    out
+}
+
+/// [`score_pairs`] into `out` (cleared and refilled).
+///
+/// # Panics
+///
+/// Panics if shapes differ.
+pub fn score_pairs_into(sim: SimilarityKind, a: &Matrix, b: &Matrix, out: &mut Vec<f32>) {
     assert_eq!(a.rows(), b.rows(), "score_pairs: row mismatch");
     assert_eq!(a.cols(), b.cols(), "score_pairs: col mismatch");
-    (0..a.rows())
-        .map(|i| match sim {
-            SimilarityKind::Dot => vecmath::dot(a.row(i), b.row(i)),
-            SimilarityKind::Cosine => vecmath::cosine(a.row(i), b.row(i)),
-        })
-        .collect()
+    out.clear();
+    out.extend((0..a.rows()).map(|i| match sim {
+        SimilarityKind::Dot => vecmath::dot(a.row(i), b.row(i)),
+        SimilarityKind::Cosine => vecmath::cosine(a.row(i), b.row(i)),
+    }));
 }
 
 /// Full score matrix `S[i][j] = score(a_i, b_j)` (`a.rows × b.rows`),
@@ -59,9 +70,27 @@ pub fn backward_pairs(
     b: &Matrix,
     grad: &[f32],
 ) -> (Matrix, Matrix) {
+    let (mut ga, mut gb) = (Matrix::default(), Matrix::default());
+    backward_pairs_into(sim, a, b, grad, &mut ga, &mut gb);
+    (ga, gb)
+}
+
+/// [`backward_pairs`] into `ga`/`gb`, which are resized and overwritten.
+///
+/// # Panics
+///
+/// Panics if shapes differ.
+pub fn backward_pairs_into(
+    sim: SimilarityKind,
+    a: &Matrix,
+    b: &Matrix,
+    grad: &[f32],
+    ga: &mut Matrix,
+    gb: &mut Matrix,
+) {
     assert_eq!(grad.len(), a.rows(), "backward_pairs: grad length mismatch");
-    let mut ga = Matrix::zeros(a.rows(), a.cols());
-    let mut gb = Matrix::zeros(b.rows(), b.cols());
+    ga.resize(a.rows(), a.cols());
+    gb.resize(b.rows(), b.cols());
     match sim {
         SimilarityKind::Dot => {
             for (i, &g) in grad.iter().enumerate() {
@@ -71,13 +100,10 @@ pub fn backward_pairs(
         }
         SimilarityKind::Cosine => {
             for (i, &g) in grad.iter().enumerate() {
-                let (gai, gbi) = cosine_pair_backward(a.row(i), b.row(i), g);
-                ga.row_mut(i).copy_from_slice(&gai);
-                gb.row_mut(i).copy_from_slice(&gbi);
+                cosine_pair_backward(a.row(i), b.row(i), g, ga.row_mut(i), gb.row_mut(i));
             }
         }
     }
-    (ga, gb)
 }
 
 /// Backward of [`score_matrix`]: `grad` is dL/dS (`a.rows × b.rows`);
@@ -99,61 +125,122 @@ pub fn backward_matrix(
     BatchScorer::new(sim, a, b).backward(grad)
 }
 
+/// The buffers a [`BatchScorer`] builds: the packed right side and, under
+/// cosine, both sides normalized plus their original row norms. Kept by
+/// the caller and handed to [`BatchScorer::new_in`] so that a scorer per
+/// chunk reuses them instead of allocating.
+#[derive(Debug, Clone, Default)]
+pub struct ScorerScratch {
+    packed: PackedNt,
+    an: Matrix,
+    bn: Matrix,
+    a_norms: Vec<f32>,
+    b_norms: Vec<f32>,
+}
+
+impl ScorerScratch {
+    /// Fills the buffers for scoring `a` against `b` under `sim`.
+    fn prepare(&mut self, sim: SimilarityKind, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.cols(), b.cols(), "BatchScorer: col mismatch");
+        match sim {
+            SimilarityKind::Dot => self.packed.repack_matrix(b),
+            SimilarityKind::Cosine => {
+                normalized_into(a, &mut self.an);
+                normalized_into(b, &mut self.bn);
+                self.a_norms.clear();
+                self.a_norms
+                    .extend((0..a.rows()).map(|i| vecmath::norm(a.row(i))));
+                self.b_norms.clear();
+                self.b_norms
+                    .extend((0..b.rows()).map(|j| vecmath::norm(b.row(j))));
+                self.packed.repack_matrix(&self.bn);
+            }
+        }
+    }
+}
+
 /// The §4.3 hot-path object: packs the candidate side once and serves the
 /// forward score matrix plus the fused backward from the same packing.
 ///
 /// One `BatchScorer` per (chunk, corruption side) replaces a
 /// [`score_matrix`] / [`backward_matrix`] pair, which would otherwise pack
-/// the candidates twice and make two passes over the loss gradient.
+/// the candidates twice and make two passes over the loss gradient. The
+/// scorer borrows both sides; only the packing (and, under cosine, the
+/// normalized copies) lives in its [`ScorerScratch`].
 #[derive(Debug, Clone)]
-pub struct BatchScorer {
+pub struct BatchScorer<'a> {
     sim: SimilarityKind,
-    /// Left side: `a` for dot, row-normalized `a` for cosine.
-    lhs: Matrix,
-    /// Packed right side: `b` for dot, row-normalized `b` for cosine.
-    fused: ScoreGrad,
-    /// Original row norms (cosine only; empty for dot).
-    a_norms: Vec<f32>,
-    b_norms: Vec<f32>,
+    a: &'a Matrix,
+    b: &'a Matrix,
+    scratch: Cow<'a, ScorerScratch>,
 }
 
-impl BatchScorer {
+impl<'a> BatchScorer<'a> {
     /// Builds a scorer for `score(a_i, b_j)`; packs `b` (normalizing both
     /// sides first under cosine).
     ///
     /// # Panics
     ///
     /// Panics if column counts differ.
-    pub fn new(sim: SimilarityKind, a: &Matrix, b: &Matrix) -> Self {
-        assert_eq!(a.cols(), b.cols(), "BatchScorer: col mismatch");
-        match sim {
-            SimilarityKind::Dot => BatchScorer {
-                sim,
-                lhs: a.clone(),
-                fused: ScoreGrad::new(b),
-                a_norms: Vec::new(),
-                b_norms: Vec::new(),
-            },
-            SimilarityKind::Cosine => {
-                let an = normalized(a);
-                let bn = normalized(b);
-                let a_norms = (0..a.rows()).map(|i| vecmath::norm(a.row(i))).collect();
-                let b_norms = (0..b.rows()).map(|j| vecmath::norm(b.row(j))).collect();
-                BatchScorer {
-                    sim,
-                    lhs: an,
-                    fused: ScoreGrad::new(&bn),
-                    a_norms,
-                    b_norms,
-                }
-            }
+    pub fn new(sim: SimilarityKind, a: &'a Matrix, b: &'a Matrix) -> Self {
+        let mut scratch = ScorerScratch::default();
+        scratch.prepare(sim, a, b);
+        BatchScorer {
+            sim,
+            a,
+            b,
+            scratch: Cow::Owned(scratch),
         }
+    }
+
+    /// [`BatchScorer::new`] building into a caller-owned `scratch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if column counts differ.
+    pub fn new_in(
+        scratch: &'a mut ScorerScratch,
+        sim: SimilarityKind,
+        a: &'a Matrix,
+        b: &'a Matrix,
+    ) -> Self {
+        scratch.prepare(sim, a, b);
+        BatchScorer {
+            sim,
+            a,
+            b,
+            scratch: Cow::Borrowed(scratch),
+        }
+    }
+
+    /// Left side as scored: `a` for dot, row-normalized `a` for cosine.
+    fn lhs(&self) -> &Matrix {
+        match self.sim {
+            SimilarityKind::Dot => self.a,
+            SimilarityKind::Cosine => &self.scratch.an,
+        }
+    }
+
+    /// The packed right side (`b`, or row-normalized `b` for cosine).
+    fn fused(&self) -> ScoreGrad<'_> {
+        let rhs = match self.sim {
+            SimilarityKind::Dot => self.b,
+            SimilarityKind::Cosine => &self.scratch.bn,
+        };
+        ScoreGrad::from_packed(&self.scratch.packed, rhs)
     }
 
     /// Forward: the full `a.rows × b.rows` score matrix as one blocked
     /// product against the packed candidates.
     pub fn scores(&self) -> Matrix {
-        self.fused.scores(&self.lhs)
+        let mut out = Matrix::default();
+        self.scores_into(&mut out);
+        out
+    }
+
+    /// [`BatchScorer::scores`] into `out`, which is reshaped in place.
+    pub fn scores_into(&self, out: &mut Matrix) {
+        self.fused().scores_into(self.lhs(), out);
     }
 
     /// Backward: `grad` is dL/dS; returns (dL/da, dL/db), computed by the
@@ -163,24 +250,30 @@ impl BatchScorer {
     ///
     /// Panics if `grad` is not `a.rows × b.rows`.
     pub fn backward(&self, grad: &Matrix) -> (Matrix, Matrix) {
-        match self.sim {
-            SimilarityKind::Dot => self.fused.backward(&self.lhs, grad),
-            SimilarityKind::Cosine => {
-                // W_i = Σ_j G_ij b̂_j and Z_j = Σ_i G_ij â_i in one pass,
-                // then the tangent-space projections:
-                // dA_i = (W_i - (W_i·â_i) â_i) / |a_i|
-                let (w, z) = self.fused.backward(&self.lhs, grad);
-                let an = &self.lhs;
-                let bn = self.fused.candidates();
-                let mut ga = Matrix::zeros(an.rows(), an.cols());
-                for i in 0..an.rows() {
-                    tangent_project(w.row(i), an.row(i), self.a_norms[i], ga.row_mut(i));
-                }
-                let mut gb = Matrix::zeros(bn.rows(), bn.cols());
-                for j in 0..bn.rows() {
-                    tangent_project(z.row(j), bn.row(j), self.b_norms[j], gb.row_mut(j));
-                }
-                (ga, gb)
+        let (mut ga, mut gb) = (Matrix::default(), Matrix::default());
+        self.backward_into(grad, &mut ga, &mut gb);
+        (ga, gb)
+    }
+
+    /// [`BatchScorer::backward`] into `ga`/`gb`, which are reshaped in
+    /// place and overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` is not `a.rows × b.rows`.
+    pub fn backward_into(&self, grad: &Matrix, ga: &mut Matrix, gb: &mut Matrix) {
+        let fused = self.fused();
+        fused.backward_into(self.lhs(), grad, ga, gb);
+        if self.sim == SimilarityKind::Cosine {
+            // W_i = Σ_j G_ij b̂_j and Z_j = Σ_i G_ij â_i in one pass,
+            // then the tangent-space projections in place:
+            // dA_i = (W_i - (W_i·â_i) â_i) / |a_i|
+            let (an, bn) = (self.lhs(), fused.candidates());
+            for i in 0..an.rows() {
+                tangent_project(ga.row_mut(i), an.row(i), self.scratch.a_norms[i]);
+            }
+            for j in 0..bn.rows() {
+                tangent_project(gb.row_mut(j), bn.row(j), self.scratch.b_norms[j]);
             }
         }
     }
@@ -188,43 +281,48 @@ impl BatchScorer {
 
 /// Rows normalized to unit L2 norm (zero rows stay zero).
 fn normalized(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for i in 0..out.rows() {
-        vecmath::normalize(out.row_mut(i));
-    }
+    let mut out = Matrix::default();
+    normalized_into(m, &mut out);
     out
 }
 
-/// `out = (w - (w·u) u) / norm`, the cosine tangent-space projection;
-/// zero when `norm == 0`.
-fn tangent_project(w: &[f32], unit: &[f32], norm: f32, out: &mut [f32]) {
-    if norm == 0.0 {
-        for o in out.iter_mut() {
-            *o = 0.0;
-        }
-        return;
-    }
-    let proj = vecmath::dot(w, unit);
-    for k in 0..w.len() {
-        out[k] = (w[k] - proj * unit[k]) / norm;
+/// [`normalized`] into `out`, which is reshaped and overwritten.
+fn normalized_into(m: &Matrix, out: &mut Matrix) {
+    out.reshape(m.rows(), m.cols());
+    out.as_mut_slice().copy_from_slice(m.as_slice());
+    for i in 0..out.rows() {
+        vecmath::normalize(out.row_mut(i));
     }
 }
 
-fn cosine_pair_backward(a: &[f32], b: &[f32], g: f32) -> (Vec<f32>, Vec<f32>) {
+/// `w = (w - (w·u) u) / norm` in place, the cosine tangent-space
+/// projection; zero when `norm == 0`.
+fn tangent_project(w: &mut [f32], unit: &[f32], norm: f32) {
+    if norm == 0.0 {
+        w.iter_mut().for_each(|o| *o = 0.0);
+        return;
+    }
+    let proj = vecmath::dot(w, unit);
+    for (o, &u) in w.iter_mut().zip(unit) {
+        *o = (*o - proj * u) / norm;
+    }
+}
+
+/// Gradient of `cos(a, b)` scaled by `g`, written to `ga`/`gb` (zero
+/// when either vector is zero).
+fn cosine_pair_backward(a: &[f32], b: &[f32], g: f32, ga: &mut [f32], gb: &mut [f32]) {
     let na = vecmath::norm(a);
     let nb = vecmath::norm(b);
-    let d = a.len();
     if na == 0.0 || nb == 0.0 {
-        return (vec![0.0; d], vec![0.0; d]);
+        ga.iter_mut().for_each(|v| *v = 0.0);
+        gb.iter_mut().for_each(|v| *v = 0.0);
+        return;
     }
     let cos = vecmath::dot(a, b) / (na * nb);
-    let mut ga = vec![0.0; d];
-    let mut gb = vec![0.0; d];
-    for k in 0..d {
+    for k in 0..a.len() {
         ga[k] = g * (b[k] / (na * nb) - cos * a[k] / (na * na));
         gb[k] = g * (a[k] / (na * nb) - cos * b[k] / (nb * nb));
     }
-    (ga, gb)
 }
 
 #[cfg(test)]

@@ -135,9 +135,9 @@ pub fn train_bucket(
                         NegativeMode::Unbatched => 1,
                     };
                     // Thread-local scratch: batch order, chunk offset
-                    // triples, and the negative-sampling buffers all live
-                    // here, so the steady-state epoch loop performs no
-                    // cross-thread allocator traffic.
+                    // triples, and the chunk step's whole workspace all
+                    // live here, so the steady-state epoch loop performs
+                    // no cross-thread allocator traffic.
                     let mut batch_scratch = batch::BatchScratch::new();
                     let mut step_scratch = StepScratch::new();
                     let mut src_off: Vec<u32> = Vec::new();

@@ -8,14 +8,17 @@
 //! and relation parameters (dense Adagrad).
 
 use crate::config::{NegativeMode, PbgConfig};
-use crate::loss;
+use crate::loss::{self, LossGrads};
 use crate::model::RelationParams;
-use crate::negatives::{candidate_offsets_into, gather, gather_into, mask_induced_positives};
-use crate::operator;
-use crate::similarity::{backward_pairs, score_pairs, BatchScorer};
+use crate::negatives::{
+    candidate_offsets_into, gather_candidates_into, gather_into, mask_induced_positives,
+};
+use crate::operator::{self, OperatorScratch};
+use crate::similarity::{backward_pairs_into, score_pairs_into, BatchScorer, ScorerScratch};
 use crate::storage::PartitionData;
 use pbg_tensor::matrix::Matrix;
 use pbg_tensor::rng::Xoshiro256;
+use pbg_tensor::vecmath;
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -172,34 +175,54 @@ pub struct ChunkContext<'a> {
     pub phases: Option<&'a PhaseClock>,
 }
 
-/// Reusable per-thread buffers for [`train_chunk_with_scratch`]: the
-/// candidate offset lists and gathered candidate matrices for both
-/// corruption sides. One per HOGWILD worker — after the first chunk the
-/// negative-sampling path stops touching the global allocator, which is
-/// exactly the contended resource when many workers sample in lockstep.
-#[derive(Debug)]
+/// The per-thread workspace of [`train_chunk_with_scratch`]: every buffer
+/// a chunk step fills — candidate offsets, gathered rows, the
+/// relation-parameter copies, operator outputs, positive and negative
+/// scores, the packed candidates, loss gradients and gradient rows. One
+/// per HOGWILD worker; after the first chunk at a given shape the step
+/// performs no heap allocation, so workers sampling in lockstep never
+/// meet in the global allocator.
+#[derive(Debug, Default)]
 pub struct StepScratch {
     cand_dst_offsets: Vec<u32>,
     cand_src_offsets: Vec<u32>,
+    src: Matrix,
+    dst: Matrix,
     cand_dst: Matrix,
     cand_src: Matrix,
+    fwd_params: Vec<f32>,
+    inv_params: Vec<f32>,
+    /// `g(src)` (unused by the identity operator, which borrows `src`).
+    t_src: Matrix,
+    /// `g_inv(dst)` (reciprocal) or `g(candidate sources)` (shared).
+    t_other: Matrix,
+    op: OperatorScratch,
+    pos_scores: Vec<f32>,
+    pos_scores_inv: Vec<f32>,
+    dst_scorer: ScorerScratch,
+    src_scorer: ScorerScratch,
+    neg_scores: Matrix,
+    dst_loss: LossGrads,
+    src_loss: LossGrads,
+    grad_pos: Vec<f32>,
+    grad_dst_rows: Matrix,
+    /// dL/d of a scorer's left side: `g(src)` or `g_inv(dst)`.
+    g_lhs: Matrix,
+    g_lhs_neg: Matrix,
+    g_dst_pos: Matrix,
+    g_cand_dst: Matrix,
+    g_tcand: Matrix,
+    g_cand_src: Matrix,
+    g_src_extra: Matrix,
+    /// dL/d of an operator input: `dst` (reciprocal), then `src`.
+    g_op_in: Matrix,
+    g_params: Vec<f32>,
 }
 
 impl StepScratch {
     /// Empty buffers; they grow to steady-state size on the first chunk.
     pub fn new() -> Self {
-        StepScratch {
-            cand_dst_offsets: Vec::new(),
-            cand_src_offsets: Vec::new(),
-            cand_dst: Matrix::zeros(0, 0),
-            cand_src: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl Default for StepScratch {
-    fn default() -> Self {
-        StepScratch::new()
+        StepScratch::default()
     }
 }
 
@@ -231,9 +254,17 @@ pub fn train_chunk(
     )
 }
 
-/// [`train_chunk`] with caller-owned [`StepScratch`] buffers. Scratch
+/// [`train_chunk`] with a caller-owned [`StepScratch`] workspace. Scratch
 /// reuse changes allocation behavior only — the RNG draw sequence and
 /// every computed value are identical to the allocating form.
+///
+/// Both candidate lists are drawn up front (destination side first, as
+/// they are consumed), so every row the chunk will read or update is
+/// known before the first gather and is prefetched together with its
+/// Adagrad accumulator; the random candidate rows then miss in parallel
+/// instead of one after another. The first `C` candidates of a batched
+/// list are the chunk's own rows, copied from the gathered chunk instead
+/// of read again.
 ///
 /// # Panics
 ///
@@ -257,24 +288,42 @@ pub fn train_chunk_with_scratch(
         return 0.0;
     }
     let cfg = ctx.config;
-    let rel = ctx.relation;
+    let (sim, rel) = (cfg.similarity, ctx.relation);
     let op = rel.op();
     let include_chunk = cfg.negative_mode == NegativeMode::Batched;
     let StepScratch {
         cand_dst_offsets,
         cand_src_offsets,
+        src,
+        dst,
         cand_dst,
         cand_src,
+        fwd_params,
+        inv_params,
+        t_src,
+        t_other,
+        op: op_scratch,
+        pos_scores,
+        pos_scores_inv,
+        dst_scorer,
+        src_scorer,
+        neg_scores,
+        dst_loss,
+        src_loss,
+        grad_pos,
+        grad_dst_rows,
+        g_lhs,
+        g_lhs_neg,
+        g_dst_pos,
+        g_cand_dst,
+        g_tcand,
+        g_cand_src,
+        g_src_extra,
+        g_op_in,
+        g_params,
     } = scratch;
 
-    // ---- forward ----
-    let src = gather(&ctx.src_data.embeddings, src_offsets);
-    let dst = gather(&ctx.dst_data.embeddings, dst_offsets);
-    let fwd_params = rel.forward.snapshot();
-    let t_src = operator::apply(op, &fwd_params, &src);
-    let pos_scores = score_pairs(cfg.similarity, &t_src, &dst);
-
-    // destination corruption: candidates = (chunk dsts +) uniform
+    // ---- negative sampling: draw both sides, prefetch every row ----
     sampled(ctx.phases, || {
         let chunk: &[u32] = if include_chunk { dst_offsets } else { &[] };
         candidate_offsets_into(
@@ -284,25 +333,8 @@ pub fn train_chunk_with_scratch(
             ctx.dst_partition_size,
             rng,
         );
-        gather_into(&ctx.dst_data.embeddings, cand_dst_offsets, cand_dst);
-    });
-    // the fused §4.3 hot path: pack the candidates once, reuse the packing
-    // for the score matrix now and both gradient products in the backward
-    let dst_scorer = BatchScorer::new(cfg.similarity, &t_src, cand_dst);
-    let mut neg_dst_scores = dst_scorer.scores();
-    mask_induced_positives(&mut neg_dst_scores, dst_offsets, cand_dst_offsets);
-    let dst_loss = loss::compute(cfg.loss, cfg.margin, &pos_scores, &neg_dst_scores, weights);
-    let mut total_loss = dst_loss.loss;
-
-    // gradient buffers accumulated across both corruption sides
-    let mut grad_pos_shared = dst_loss.grad_pos.clone();
-    let grad_fwd_params = &mut param_grads.forward;
-    let mut grad_dst_rows = Matrix::zeros(dst.rows(), dst.cols());
-
-    // source corruption
-    let mut src_side: Option<SrcSideGrads> = None;
-    if cfg.corrupt_sources {
-        sampled(ctx.phases, || {
+        cand_src_offsets.clear();
+        if cfg.corrupt_sources {
             let chunk: &[u32] = if include_chunk { src_offsets } else { &[] };
             candidate_offsets_into(
                 cand_src_offsets,
@@ -311,96 +343,151 @@ pub fn train_chunk_with_scratch(
                 ctx.src_partition_size,
                 rng,
             );
-            gather_into(&ctx.src_data.embeddings, cand_src_offsets, cand_src);
+        }
+        let own = if include_chunk { src_offsets.len() } else { 0 };
+        prefetch_rows(ctx.src_data, src_offsets);
+        prefetch_rows(ctx.dst_data, dst_offsets);
+        prefetch_rows(ctx.dst_data, &cand_dst_offsets[own..]);
+        prefetch_rows(ctx.src_data, cand_src_offsets.get(own..).unwrap_or(&[]));
+    });
+
+    // ---- forward ----
+    gather_into(&ctx.src_data.embeddings, src_offsets, src);
+    gather_into(&ctx.dst_data.embeddings, dst_offsets, dst);
+    let (src, dst) = (&*src, &*dst);
+    fwd_params.resize(rel.forward.len(), 0.0);
+    rel.forward.read_into(fwd_params);
+    let t_src = operator::apply_into(op, fwd_params, src, t_src, op_scratch);
+    score_pairs_into(sim, t_src, dst, pos_scores);
+
+    // destination corruption: candidates = (chunk dsts +) uniform
+    let no_rows = Matrix::default();
+    let (known_src, known_dst) = if include_chunk {
+        (src, dst)
+    } else {
+        (&no_rows, &no_rows)
+    };
+    sampled(ctx.phases, || {
+        gather_candidates_into(
+            &ctx.dst_data.embeddings,
+            cand_dst_offsets,
+            known_dst,
+            cand_dst,
+        );
+    });
+    // the fused §4.3 hot path: pack the candidates once, reuse the packing
+    // for the score matrix now and both gradient products in the backward
+    let dst_scorer = BatchScorer::new_in(dst_scorer, sim, t_src, cand_dst);
+    dst_scorer.scores_into(neg_scores);
+    mask_induced_positives(neg_scores, dst_offsets, cand_dst_offsets);
+    loss::compute_into(
+        cfg.loss, cfg.margin, pos_scores, neg_scores, weights, dst_loss,
+    );
+    let mut total_loss = dst_loss.loss;
+
+    // gradient buffers accumulated across both corruption sides
+    grad_pos.clear();
+    grad_pos.extend_from_slice(&dst_loss.grad_pos);
+    grad_dst_rows.resize(dst.rows(), dst.cols());
+
+    // source corruption
+    let mut cand_src_grads: Option<&Matrix> = None;
+    let mut src_extra_grads: Option<&Matrix> = None;
+    if cfg.corrupt_sources {
+        sampled(ctx.phases, || {
+            gather_candidates_into(
+                &ctx.src_data.embeddings,
+                cand_src_offsets,
+                known_src,
+                cand_src,
+            );
         });
+        let cand_src = &*cand_src;
         if let Some(recip) = &rel.reciprocal {
             // reciprocal: score candidates against g_inv(dst)
-            let inv_params = recip.snapshot();
-            let t_dst = operator::apply(op, &inv_params, &dst);
-            let pos2 = score_pairs(cfg.similarity, &t_dst, &src);
-            let src_scorer = BatchScorer::new(cfg.similarity, &t_dst, cand_src);
-            let mut neg_src_scores = src_scorer.scores();
-            mask_induced_positives(&mut neg_src_scores, src_offsets, cand_src_offsets);
-            let src_loss = loss::compute(cfg.loss, cfg.margin, &pos2, &neg_src_scores, weights);
+            inv_params.resize(recip.len(), 0.0);
+            recip.read_into(inv_params);
+            let t_dst = operator::apply_into(op, inv_params, dst, t_other, op_scratch);
+            score_pairs_into(sim, t_dst, src, pos_scores_inv);
+            let src_scorer = BatchScorer::new_in(src_scorer, sim, t_dst, cand_src);
+            src_scorer.scores_into(neg_scores);
+            mask_induced_positives(neg_scores, src_offsets, cand_src_offsets);
+            loss::compute_into(
+                cfg.loss,
+                cfg.margin,
+                pos_scores_inv,
+                neg_scores,
+                weights,
+                src_loss,
+            );
             total_loss += src_loss.loss;
             // backward through the reciprocal path
-            let (g_tdst_pos, g_src_pos) =
-                backward_pairs(cfg.similarity, &t_dst, &src, &src_loss.grad_pos);
-            let (g_tdst_neg, g_cand_src) = src_scorer.backward(&src_loss.grad_neg);
-            let mut g_tdst = g_tdst_pos;
-            g_tdst.add_scaled(1.0, &g_tdst_neg);
-            let (g_dst_inv, g_inv_params) = operator::backward(op, &inv_params, &dst, &g_tdst);
-            grad_dst_rows.add_scaled(1.0, &g_dst_inv);
-            for (gp, g) in param_grads.reciprocal.iter_mut().zip(&g_inv_params) {
-                *gp += *g;
-            }
-            src_side = Some(SrcSideGrads {
-                g_cand_src,
-                g_src_extra: Some(g_src_pos),
-            });
+            backward_pairs_into(sim, t_dst, src, &src_loss.grad_pos, g_lhs, g_src_extra);
+            src_scorer.backward_into(&src_loss.grad_neg, g_lhs_neg, g_cand_src);
+            g_lhs.add_scaled(1.0, g_lhs_neg);
+            let g_dst =
+                operator::backward_into(op, inv_params, dst, g_lhs, g_op_in, g_params, op_scratch);
+            grad_dst_rows.add_scaled(1.0, g_dst);
+            vecmath::axpy(1.0, g_params, &mut param_grads.reciprocal);
+            cand_src_grads = Some(g_cand_src);
+            src_extra_grads = Some(g_src_extra);
         } else {
             // shared parameters: transform the candidates, score against
             // the raw destinations; the positive term is the same score as
-            // the destination side, so its gradient folds into
-            // `grad_pos_shared`.
-            let t_cand = operator::apply(op, &fwd_params, cand_src);
-            let src_scorer = BatchScorer::new(cfg.similarity, &dst, &t_cand);
-            let mut neg_src_scores = src_scorer.scores();
-            mask_induced_positives(&mut neg_src_scores, src_offsets, cand_src_offsets);
-            let src_loss =
-                loss::compute(cfg.loss, cfg.margin, &pos_scores, &neg_src_scores, weights);
+            // the destination side, so its gradient folds into `grad_pos`.
+            let t_cand = operator::apply_into(op, fwd_params, cand_src, t_other, op_scratch);
+            let src_scorer = BatchScorer::new_in(src_scorer, sim, dst, t_cand);
+            src_scorer.scores_into(neg_scores);
+            mask_induced_positives(neg_scores, src_offsets, cand_src_offsets);
+            loss::compute_into(
+                cfg.loss, cfg.margin, pos_scores, neg_scores, weights, src_loss,
+            );
             total_loss += src_loss.loss;
-            for (gp, g) in grad_pos_shared.iter_mut().zip(&src_loss.grad_pos) {
-                *gp += *g;
-            }
-            let (g_dst_neg, g_tcand) = src_scorer.backward(&src_loss.grad_neg);
-            grad_dst_rows.add_scaled(1.0, &g_dst_neg);
-            let (g_cand_src, g_params2) = operator::backward(op, &fwd_params, cand_src, &g_tcand);
-            for (gp, g) in grad_fwd_params.iter_mut().zip(&g_params2) {
-                *gp += *g;
-            }
-            src_side = Some(SrcSideGrads {
-                g_cand_src,
-                g_src_extra: None,
-            });
+            vecmath::axpy(1.0, &src_loss.grad_pos, grad_pos);
+            src_scorer.backward_into(&src_loss.grad_neg, g_lhs_neg, g_tcand);
+            grad_dst_rows.add_scaled(1.0, g_lhs_neg);
+            let g_cand = operator::backward_into(
+                op, fwd_params, cand_src, g_tcand, g_cand_src, g_params, op_scratch,
+            );
+            vecmath::axpy(1.0, g_params, &mut param_grads.forward);
+            cand_src_grads = Some(g_cand);
         }
     }
 
     // ---- backward through the shared positive pair and dst negatives ----
-    let (g_tsrc_pos, g_dst_pos) = backward_pairs(cfg.similarity, &t_src, &dst, &grad_pos_shared);
-    let (g_tsrc_neg, g_cand_dst) = dst_scorer.backward(&dst_loss.grad_neg);
-    let mut g_tsrc = g_tsrc_pos;
-    g_tsrc.add_scaled(1.0, &g_tsrc_neg);
-    let (g_src, g_params1) = operator::backward(op, &fwd_params, &src, &g_tsrc);
-    for (gp, g) in grad_fwd_params.iter_mut().zip(&g_params1) {
-        *gp += *g;
-    }
-    grad_dst_rows.add_scaled(1.0, &g_dst_pos);
+    backward_pairs_into(sim, t_src, dst, grad_pos, g_lhs, g_dst_pos);
+    dst_scorer.backward_into(&dst_loss.grad_neg, g_lhs_neg, g_cand_dst);
+    g_lhs.add_scaled(1.0, g_lhs_neg);
+    let g_src = operator::backward_into(op, fwd_params, src, g_lhs, g_op_in, g_params, op_scratch);
+    vecmath::axpy(1.0, g_params, &mut param_grads.forward);
+    grad_dst_rows.add_scaled(1.0, g_dst_pos);
 
     // ---- scatter updates (HOGWILD row-wise Adagrad) ----
     optimized(ctx.phases, || {
-        scatter(ctx.src_data, src_offsets, &g_src, None);
-        scatter(ctx.dst_data, dst_offsets, &grad_dst_rows, None);
-        scatter_rows(ctx.dst_data, cand_dst_offsets, &g_cand_dst);
-        if let Some(side) = src_side {
-            // `cand_src_offsets` was (re)filled this chunk iff `src_side`
-            // was constructed, so the borrow is of fresh data.
-            scatter_rows(ctx.src_data, cand_src_offsets, &side.g_cand_src);
-            if let Some(extra) = side.g_src_extra {
-                scatter(ctx.src_data, src_offsets, &extra, None);
-            }
+        scatter(ctx.src_data, src_offsets, g_src);
+        scatter(ctx.dst_data, dst_offsets, grad_dst_rows);
+        scatter(ctx.dst_data, cand_dst_offsets, g_cand_dst);
+        if let Some(g_cand) = cand_src_grads {
+            scatter(ctx.src_data, cand_src_offsets, g_cand);
+        }
+        if let Some(extra) = src_extra_grads {
+            scatter(ctx.src_data, src_offsets, extra);
         }
     });
     total_loss
 }
 
-struct SrcSideGrads {
-    g_cand_src: Matrix,
-    g_src_extra: Option<Matrix>,
+/// Prefetch hints for the embedding rows at `offsets` and their Adagrad
+/// accumulators.
+fn prefetch_rows(data: &PartitionData, offsets: &[u32]) {
+    for &off in offsets {
+        data.embeddings.prefetch_row(off as usize);
+        data.adagrad.prefetch(off as usize);
+    }
 }
 
 /// Applies one Adagrad update per row (skipping all-zero rows).
-fn scatter(data: &PartitionData, offsets: &[u32], grads: &Matrix, _tag: Option<()>) {
+fn scatter(data: &PartitionData, offsets: &[u32], grads: &Matrix) {
     for (i, &off) in offsets.iter().enumerate() {
         let g = grads.row(i);
         if g.iter().all(|&v| v == 0.0) {
@@ -408,10 +495,6 @@ fn scatter(data: &PartitionData, offsets: &[u32], grads: &Matrix, _tag: Option<(
         }
         data.adagrad.update(&data.embeddings, off as usize, g);
     }
-}
-
-fn scatter_rows(data: &PartitionData, offsets: &[u32], grads: &Matrix) {
-    scatter(data, offsets, grads, None);
 }
 
 #[cfg(test)]
@@ -622,6 +705,118 @@ mod tests {
                 pg.apply(ctx.relation);
             }
             assert!(last < first, "{loss:?}: {first} -> {last}");
+        }
+    }
+
+    /// Runs a fixed schedule of ragged chunks over four relations with
+    /// different operators, either through one reused scratch or a fresh
+    /// one per chunk; returns the chunk losses, the final embedding table
+    /// and every relation parameter.
+    fn ragged_schedule(config: PbgConfig, reuse: bool) -> (Vec<f64>, Vec<f32>, Vec<f32>) {
+        const ROWS: usize = 120;
+        let ops = [
+            OperatorKind::Linear,
+            OperatorKind::Identity,
+            OperatorKind::ComplexDiagonal,
+            OperatorKind::Translation,
+        ];
+        let mut schema =
+            GraphSchema::builder().entity_type(EntityTypeDef::new("node", ROWS as u32));
+        for (r, op) in ops.iter().enumerate() {
+            schema = schema.relation_type(
+                RelationTypeDef::new(format!("r{r}"), 0u32, 0u32).with_operator(*op),
+            );
+        }
+        let model = Model::new(schema.build().unwrap(), config).unwrap();
+        let data = PartitionData::init(ROWS, model.config().dim, 0.1, 0.5, 13);
+        let mut rng = Xoshiro256::seed_from_u64(17);
+        let mut edge_rng = Xoshiro256::seed_from_u64(19);
+        let mut scratch = StepScratch::new();
+        let mut losses = Vec::new();
+        // the last chunk of a relation batch is short
+        let schedule = [
+            (0, 50),
+            (0, 17),
+            (1, 50),
+            (1, 1),
+            (2, 17),
+            (3, 50),
+            (0, 1),
+            (2, 50),
+        ];
+        for (rel, size) in schedule {
+            let relation = model.relation(RelationTypeId(rel));
+            let ctx = ChunkContext {
+                config: model.config(),
+                relation,
+                src_data: &data,
+                dst_data: &data,
+                src_partition_size: ROWS,
+                dst_partition_size: ROWS,
+                phases: None,
+            };
+            let src: Vec<u32> = (0..size).map(|_| edge_rng.gen_index(ROWS) as u32).collect();
+            let dst: Vec<u32> = (0..size).map(|_| edge_rng.gen_index(ROWS) as u32).collect();
+            let w = vec![1.0f32; size];
+            let mut pg = ParamGradAccum::for_relation(relation);
+            let loss = if reuse {
+                train_chunk_with_scratch(&ctx, &src, &dst, &w, &mut pg, &mut rng, &mut scratch)
+            } else {
+                train_chunk(&ctx, &src, &dst, &w, &mut pg, &mut rng)
+            };
+            pg.apply(relation);
+            losses.push(loss);
+        }
+        let mut params = Vec::new();
+        for r in 0..ops.len() {
+            let relation = model.relation(RelationTypeId(r as u32));
+            params.extend(relation.forward.snapshot());
+            if let Some(recip) = &relation.reciprocal {
+                params.extend(recip.snapshot());
+            }
+        }
+        (losses, data.embeddings.to_vec(), params)
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch_bit_for_bit() {
+        let bits64 = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let bits32 = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let base = || {
+            PbgConfig::builder()
+                .dim(8)
+                .batch_size(50)
+                .chunk_size(50)
+                .uniform_negatives(10)
+        };
+        let configs = [
+            ("dot margin", base()),
+            (
+                "cosine softmax reciprocal",
+                base()
+                    .similarity(SimilarityKind::Cosine)
+                    .loss(LossKind::Softmax)
+                    .reciprocal_relations(true),
+            ),
+            (
+                "logistic unbatched",
+                base()
+                    .loss(LossKind::Logistic)
+                    .negative_mode(NegativeMode::Unbatched),
+            ),
+            ("destination corruption only", base().corrupt_sources(false)),
+        ];
+        for (name, builder) in configs {
+            let config = builder.build().unwrap();
+            let (loss_a, emb_a, params_a) = ragged_schedule(config.clone(), true);
+            let (loss_b, emb_b, params_b) = ragged_schedule(config, false);
+            assert_eq!(bits64(&loss_a), bits64(&loss_b), "{name}: losses differ");
+            assert_eq!(bits32(&emb_a), bits32(&emb_b), "{name}: embeddings differ");
+            assert_eq!(
+                bits32(&params_a),
+                bits32(&params_b),
+                "{name}: relation params differ"
+            );
         }
     }
 }

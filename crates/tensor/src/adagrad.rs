@@ -52,6 +52,13 @@ impl AdagradRow {
         self.acc.get(row, 0)
     }
 
+    /// Prefetch hint for `row`'s accumulator (see
+    /// [`HogwildArray::prefetch_row`]).
+    #[inline]
+    pub fn prefetch(&self, row: usize) {
+        self.acc.prefetch_row(row);
+    }
+
     /// Folds `grad` into the accumulator for `row` and returns the step
     /// size `lr / (sqrt(acc') + eps)` to apply against `grad`.
     ///

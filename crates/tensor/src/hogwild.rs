@@ -89,6 +89,14 @@ impl HogwildArray {
         self.data[row * self.cols + col].store(value.to_bits(), Ordering::Relaxed);
     }
 
+    /// The cells of row `row`, sliced once so the row loops below run
+    /// without a per-element bounds check.
+    #[inline]
+    fn row_cells(&self, row: usize, what: &str) -> &[AtomicU32] {
+        assert!(row < self.rows, "{what}: row {row} out of bounds");
+        &self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
     /// Copies row `row` into `buf`.
     ///
     /// # Panics
@@ -96,11 +104,10 @@ impl HogwildArray {
     /// Panics if `row` is out of bounds or `buf.len() != cols`.
     #[inline]
     pub fn read_row_into(&self, row: usize, buf: &mut [f32]) {
-        assert!(row < self.rows, "read_row_into: row {row} out of bounds");
+        let cells = self.row_cells(row, "read_row_into");
         assert_eq!(buf.len(), self.cols, "read_row_into: buffer size mismatch");
-        let base = row * self.cols;
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = f32::from_bits(self.data[base + i].load(Ordering::Relaxed));
+        for (b, cell) in buf.iter_mut().zip(cells) {
+            *b = f32::from_bits(cell.load(Ordering::Relaxed));
         }
     }
 
@@ -111,11 +118,10 @@ impl HogwildArray {
     /// Panics if `row` is out of bounds or `values.len() != cols`.
     #[inline]
     pub fn write_row(&self, row: usize, values: &[f32]) {
-        assert!(row < self.rows, "write_row: row {row} out of bounds");
+        let cells = self.row_cells(row, "write_row");
         assert_eq!(values.len(), self.cols, "write_row: size mismatch");
-        let base = row * self.cols;
-        for (i, v) in values.iter().enumerate() {
-            self.data[base + i].store(v.to_bits(), Ordering::Relaxed);
+        for (cell, v) in cells.iter().zip(values) {
+            cell.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -130,14 +136,41 @@ impl HogwildArray {
     /// Panics if `row` is out of bounds or `delta.len() != cols`.
     #[inline]
     pub fn add_to_row(&self, row: usize, alpha: f32, delta: &[f32]) {
-        assert!(row < self.rows, "add_to_row: row {row} out of bounds");
+        let cells = self.row_cells(row, "add_to_row");
         assert_eq!(delta.len(), self.cols, "add_to_row: size mismatch");
-        let base = row * self.cols;
-        for (i, d) in delta.iter().enumerate() {
-            let cell = &self.data[base + i];
+        for (cell, d) in cells.iter().zip(delta) {
             let cur = f32::from_bits(cell.load(Ordering::Relaxed));
             cell.store((cur + alpha * d).to_bits(), Ordering::Relaxed);
         }
+    }
+
+    /// Hints the CPU to start loading row `row` into cache, one prefetch
+    /// per cache line, so a caller that knows every row it will touch can
+    /// overlap their misses instead of taking them one after another.
+    /// Out-of-range rows are ignored; on targets other than x86_64 this
+    /// does nothing.
+    #[inline]
+    pub fn prefetch_row(&self, row: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if row < self.rows {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let cells = &self.data[row * self.cols..(row + 1) * self.cols];
+            const LINE: usize = 64;
+            let base = cells.as_ptr().cast::<i8>();
+            let bytes = std::mem::size_of_val(cells);
+            // one address per line from the row start, plus the last byte
+            // for the line a misaligned row spills into
+            for off in (0..bytes).step_by(LINE).chain(bytes.checked_sub(1)) {
+                // SAFETY: SSE is part of the x86_64 baseline, so the
+                // instruction exists on every CPU this code runs on. A
+                // prefetch is a hint, not a memory access: it never faults
+                // and has no effect on program state, and the address is
+                // inside this row anyway.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(off)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = row;
     }
 
     /// Atomically adds `delta` to the scalar at `(row, col)` using a
@@ -281,6 +314,17 @@ mod tests {
         for v in a.to_vec() {
             assert!(v == 1.0 || v == 2.0, "torn value {v}");
         }
+    }
+
+    #[test]
+    fn prefetch_leaves_contents_alone() {
+        // rows of 3 floats straddle cache lines; out-of-range rows are
+        // ignored rather than rejected
+        let a = HogwildArray::from_vec(4, 3, (0..12).map(|v| v as f32).collect());
+        for row in 0..6 {
+            a.prefetch_row(row);
+        }
+        assert_eq!(a.to_vec(), (0..12).map(|v| v as f32).collect::<Vec<_>>());
     }
 
     #[test]

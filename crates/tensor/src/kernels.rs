@@ -41,6 +41,9 @@
 // necessarily exceed clippy's argument-count lint.
 #![allow(clippy::too_many_arguments)]
 
+use crate::matrix::Matrix;
+use std::borrow::Cow;
+
 /// Rows of `A` per microkernel tile.
 pub const MR: usize = 4;
 /// Rows of `B` (columns of the output) per packed panel.
@@ -728,7 +731,7 @@ fn check_dims(rows: usize, cols: usize, len: usize, ld: usize, what: &str) {
 /// vector per k step. A packed matrix is reusable across any number of
 /// products against it, which is how the fused trainer path packs a
 /// chunk's candidate negatives exactly once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PackedNt {
     n: usize,
     k: usize,
@@ -742,20 +745,29 @@ impl PackedNt {
     ///
     /// Panics if `b` is too short for the shape/stride.
     pub fn pack(n: usize, k: usize, b: &[f32], ldb: usize) -> Self {
+        let mut packed = PackedNt::default();
+        packed.repack(n, k, b, ldb);
+        packed
+    }
+
+    /// [`PackedNt::pack`] in place: replaces the packed contents with `b`,
+    /// reusing the panel allocation when it is large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is too short for the shape/stride.
+    pub fn repack(&mut self, n: usize, k: usize, b: &[f32], ldb: usize) {
         check_dims(n, k, b.len(), ldb, "PackedNt::pack b");
-        if k == 0 {
-            return PackedNt {
-                n,
-                k,
-                panels: Vec::new(),
-            };
-        }
-        let n_panels = n.div_ceil(NR);
-        let mut panels = vec![0.0f32; n_panels * k * NR];
+        self.n = n;
+        self.k = k;
+        let n_panels = if k == 0 { 0 } else { n.div_ceil(NR) };
+        // zero-filled: panel padding past `n` must read as zeros
+        self.panels.clear();
+        self.panels.resize(n_panels * k * NR, 0.0);
         for p in 0..n_panels {
             let j0 = p * NR;
             let jn = NR.min(n - j0);
-            let panel = &mut panels[p * k * NR..(p + 1) * k * NR];
+            let panel = &mut self.panels[p * k * NR..(p + 1) * k * NR];
             for jj in 0..jn {
                 let row = &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k];
                 for (kk, &v) in row.iter().enumerate() {
@@ -763,7 +775,12 @@ impl PackedNt {
                 }
             }
         }
-        PackedNt { n, k, panels }
+    }
+
+    /// [`PackedNt::repack`] of a whole matrix (the candidate side of a
+    /// [`ScoreGrad`]).
+    pub fn repack_matrix(&mut self, m: &Matrix) {
+        self.repack(m.rows(), m.cols(), m.as_slice(), m.cols().max(1));
     }
 
     /// Number of packed rows of `B` (output columns).
@@ -892,8 +909,35 @@ pub fn matmul_nt_packed_with(
         return;
     }
     count_flops(2 * (m as u64) * (n as u64) * (k as u64));
+    A_PANEL.with_borrow_mut(|apanel| {
+        apanel.clear();
+        apanel.resize(k * MR, 0.0);
+        nt_blocks(v, m, k, a, lda, packed, out, ldo, apanel);
+    });
+}
+
+thread_local! {
+    /// The packed `A` row group of [`matmul_nt_packed_with`] (`k × MR`
+    /// floats). One per thread, grown on first use, so the scoring kernel
+    /// stays off the allocator in steady state.
+    static A_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The blocked loop nest of [`matmul_nt_packed_with`] (shapes already
+/// checked, `m, n, k > 0`), packing `A` row groups into `apanel`.
+fn nt_blocks(
+    v: Variant,
+    m: usize,
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    packed: &PackedNt,
+    out: &mut [f32],
+    ldo: usize,
+    apanel: &mut [f32],
+) {
+    let n = packed.n();
     let n_panels = n.div_ceil(NR);
-    let mut apanel = vec![0.0f32; k * MR];
     let mut ic = 0;
     while ic < m {
         let mc = MC.min(m - ic);
@@ -901,9 +945,9 @@ pub fn matmul_nt_packed_with(
         while ig < mc {
             let i0 = ic + ig;
             let mr = MR.min(m - i0);
-            pack_a_group(a, lda, k, i0, mr, &mut apanel);
+            pack_a_group(a, lda, k, i0, mr, apanel);
             for p in 0..n_panels {
-                let acc = micro_nt_v(v, k, &apanel, packed.panel(p));
+                let acc = micro_nt_v(v, k, apanel, packed.panel(p));
                 let j0 = p * NR;
                 let jn = NR.min(n - j0);
                 for (r, acc_row) in acc.iter().enumerate().take(mr) {
@@ -1361,28 +1405,44 @@ pub fn score_grads_with(
 /// assert_eq!(d_cand.row(2), &[0.0, 1.0]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ScoreGrad {
-    packed: PackedNt,
-    cand: crate::matrix::Matrix,
+pub struct ScoreGrad<'a> {
+    packed: Cow<'a, PackedNt>,
+    cand: &'a Matrix,
 }
 
-impl ScoreGrad {
+impl<'a> ScoreGrad<'a> {
     /// Packs the candidate matrix (`N × d`) once.
-    pub fn new(candidates: &crate::matrix::Matrix) -> Self {
+    pub fn new(candidates: &'a Matrix) -> Self {
+        let mut packed = PackedNt::default();
+        packed.repack_matrix(candidates);
         ScoreGrad {
-            packed: PackedNt::pack(
-                candidates.rows(),
-                candidates.cols(),
-                candidates.as_slice(),
-                candidates.cols().max(1),
-            ),
-            cand: candidates.clone(),
+            packed: Cow::Owned(packed),
+            cand: candidates,
+        }
+    }
+
+    /// A context over candidates the caller already packed (with
+    /// [`PackedNt::pack`] or [`PackedNt::repack`] of `candidates`), so a
+    /// per-chunk context reuses one panel allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packed`'s shape is not `candidates`'s.
+    pub fn from_packed(packed: &'a PackedNt, candidates: &'a Matrix) -> Self {
+        assert_eq!(
+            (packed.n(), packed.k()),
+            (candidates.rows(), candidates.cols()),
+            "ScoreGrad::from_packed: packing does not match the candidates"
+        );
+        ScoreGrad {
+            packed: Cow::Borrowed(packed),
+            cand: candidates,
         }
     }
 
     /// The candidate matrix this context was built from.
-    pub fn candidates(&self) -> &crate::matrix::Matrix {
-        &self.cand
+    pub fn candidates(&self) -> &'a Matrix {
+        self.cand
     }
 
     /// Forward: `S = pos · candᵀ` (`C × N`) via the blocked packed kernel.
@@ -1390,7 +1450,18 @@ impl ScoreGrad {
     /// # Panics
     ///
     /// Panics if `pos.cols() != candidates.cols()`.
-    pub fn scores(&self, pos: &crate::matrix::Matrix) -> crate::matrix::Matrix {
+    pub fn scores(&self, pos: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.scores_into(pos, &mut out);
+        out
+    }
+
+    /// [`ScoreGrad::scores`] into `out`, which is reshaped in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos.cols() != candidates.cols()`.
+    pub fn scores_into(&self, pos: &Matrix, out: &mut Matrix) {
         assert_eq!(
             pos.cols(),
             self.packed.k(),
@@ -1398,7 +1469,13 @@ impl ScoreGrad {
         );
         let m = pos.rows();
         let n = self.packed.n();
-        let mut out = crate::matrix::Matrix::zeros(m, n);
+        // every element is written below, except for an empty inner
+        // dimension, where the product is all zeros
+        if self.packed.k() == 0 {
+            out.resize(m, n);
+        } else {
+            out.reshape(m, n);
+        }
         matmul_nt_packed(
             m,
             self.packed.k(),
@@ -1408,7 +1485,6 @@ impl ScoreGrad {
             out.as_mut_slice(),
             n.max(1),
         );
-        out
     }
 
     /// Fused backward: given `grad = dL/dS`, returns
@@ -1417,17 +1493,26 @@ impl ScoreGrad {
     /// # Panics
     ///
     /// Panics if shapes are inconsistent.
-    pub fn backward(
-        &self,
-        pos: &crate::matrix::Matrix,
-        grad: &crate::matrix::Matrix,
-    ) -> (crate::matrix::Matrix, crate::matrix::Matrix) {
+    pub fn backward(&self, pos: &Matrix, grad: &Matrix) -> (Matrix, Matrix) {
+        let (mut ga, mut gb) = (Matrix::default(), Matrix::default());
+        self.backward_into(pos, grad, &mut ga, &mut gb);
+        (ga, gb)
+    }
+
+    /// [`ScoreGrad::backward`] into `ga`/`gb`, which are reshaped in
+    /// place and overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes are inconsistent.
+    pub fn backward_into(&self, pos: &Matrix, grad: &Matrix, ga: &mut Matrix, gb: &mut Matrix) {
         let (m, n, k) = (pos.rows(), self.cand.rows(), self.cand.cols());
         assert_eq!(pos.cols(), k, "ScoreGrad::backward: dim mismatch");
         assert_eq!(grad.rows(), m, "ScoreGrad::backward: grad rows");
         assert_eq!(grad.cols(), n, "ScoreGrad::backward: grad cols");
-        let mut ga = crate::matrix::Matrix::zeros(m, k);
-        let mut gb = crate::matrix::Matrix::zeros(n, k);
+        // score_grads zeroes both outputs before accumulating
+        ga.reshape(m, k);
+        gb.reshape(n, k);
         score_grads(
             m,
             n,
@@ -1443,7 +1528,6 @@ impl ScoreGrad {
             gb.as_mut_slice(),
             k.max(1),
         );
-        (ga, gb)
     }
 }
 

@@ -42,6 +42,16 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes this matrix in place to `rows × cols` *without* clearing
+    /// it: elements kept from the previous shape hold stale values and only
+    /// newly grown storage is zeroed. For scratch outputs that the caller
+    /// overwrites in full, where [`Matrix::resize`]'s zero fill is wasted.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Creates a matrix from owned data.
     ///
     /// # Panics
